@@ -261,13 +261,12 @@ struct LaneEval {
     });
   }
 
-  /// One instruction's forward transfer. Mirrors RefMachine::execLane
-  /// case by case; memory contents are never tracked, so loads (and
-  /// anything cross-lane) define Unknown.
-  void eval(Env &E, const ir::Inst &I) {
+  /// One instruction's forward transfer, given its vm::predecode record
+  /// \p P. Mirrors RefMachine::execLane case by case; memory contents are
+  /// never tracked, so loads (and anything cross-lane) define Unknown.
+  void eval(Env &E, const ir::Inst &I, const vm::Pre &P) {
     const Instruction &Asm = I.Asm;
     const auto &Ops = Asm.Operands;
-    const vm::Pre P = vm::predecode(Asm);
 
     GuardState = guardOf(E, Asm);
     if (GuardState == Guard::False)
@@ -634,11 +633,26 @@ struct LaneEval {
 
 // --- The per-kernel access table ------------------------------------------
 
+/// vm::predecode of every instruction, indexed [block][inst]. Each checker
+/// call classifies its kernel once; everything below reads this table.
+using PreTable = std::vector<std::vector<vm::Pre>>;
+
+PreTable predecodeKernel(const ir::Kernel &K) {
+  PreTable Pre(K.Blocks.size());
+  for (size_t B = 0; B < K.Blocks.size(); ++B) {
+    Pre[B].reserve(K.Blocks[B].Insts.size());
+    for (const ir::Inst &I : K.Blocks[B].Insts)
+      Pre[B].push_back(vm::predecode(I.Asm));
+  }
+  return Pre;
+}
+
 /// One LD/ST/ATOM site with its per-context address facts.
 struct Access {
   int Block = 0;
   int Inst = 0;
   uint64_t OrigAddress = ir::Inst::kNoAddress;
+  const Operand *Mem = nullptr; ///< The [base+offset] operand.
   bool IsStore = false;
   vm::RegionKind Region = vm::RegionKind::Global;
   unsigned Bytes = 4;
@@ -663,14 +677,14 @@ bool isMemOp(vm::OpKind K) {
 }
 
 /// Control flow the CFG-edge reachability argument does not cover.
-bool defeatsEvaluation(const ir::Kernel &K) {
-  for (const ir::Block &B : K.Blocks)
-    for (const ir::Inst &I : B.Insts) {
-      const vm::Pre P = vm::predecode(I.Asm);
-      if (P.Kind == vm::OpKind::Cal || P.Kind == vm::OpKind::Ret)
+bool defeatsEvaluation(const ir::Kernel &K, const PreTable &Pre) {
+  for (size_t B = 0; B < K.Blocks.size(); ++B)
+    for (size_t I = 0; I < K.Blocks[B].Insts.size(); ++I) {
+      const vm::OpKind Kind = Pre[B][I].Kind;
+      if (Kind == vm::OpKind::Cal || Kind == vm::OpKind::Ret)
         return true;
-      if (P.Kind == vm::OpKind::Unknown &&
-          isControlMnemonic(I.Asm.Opcode))
+      if (Kind == vm::OpKind::Unknown &&
+          isControlMnemonic(K.Blocks[B].Insts[I].Asm.Opcode))
         return true;
     }
   return false;
@@ -684,24 +698,29 @@ const Operand *memOperand(const Instruction &Asm, vm::OpKind Kind) {
   return &Asm.Operands[Idx];
 }
 
-AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
+/// The kernel's LD/ST/ATOM sites in (block, inst) order, every context
+/// still MayUnknown. Cheap: no context is evaluated yet.
+AccessTable collectAccesses(const ir::Kernel &K, const PreTable &Pre,
+                            const LaunchShape &Shape) {
   AccessTable T;
   const size_t Contexts =
       static_cast<size_t>(Shape.NumBlocks) * Shape.NumThreads;
   T.Exhaustive = Contexts > 0 && Contexts <= Shape.MaxContexts &&
-                 !defeatsEvaluation(K);
+                 !defeatsEvaluation(K, Pre);
 
-  // Collect the sites first, in deterministic (block, inst) order.
   for (size_t B = 0; B < K.Blocks.size(); ++B)
     for (size_t I = 0; I < K.Blocks[B].Insts.size(); ++I) {
       const ir::Inst &Inst = K.Blocks[B].Insts[I];
-      const vm::Pre P = vm::predecode(Inst.Asm);
-      if (!isMemOp(P.Kind) || !memOperand(Inst.Asm, P.Kind))
+      const vm::Pre &P = Pre[B][I];
+      const Operand *Mem =
+          isMemOp(P.Kind) ? memOperand(Inst.Asm, P.Kind) : nullptr;
+      if (!Mem)
         continue;
       Access A;
       A.Block = static_cast<int>(B);
       A.Inst = static_cast<int>(I);
       A.OrigAddress = Inst.OrigAddress;
+      A.Mem = Mem;
       A.IsStore = P.Kind != vm::OpKind::Load; // ATOM both loads and stores.
       A.Region =
           P.Kind == vm::OpKind::Atom ? vm::RegionKind::Global : P.Region;
@@ -711,8 +730,15 @@ AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
       A.Addr.assign(N, 0);
       T.Accesses.push_back(std::move(A));
     }
+  return T;
+}
+
+/// Runs the per-context fixpoint and fills every site's State/Addr. A
+/// no-op when the table is not exhaustive or has no sites.
+void evaluateContexts(AccessTable &T, const ir::Kernel &K,
+                      const PreTable &Pre, const LaunchShape &Shape) {
   if (!T.Exhaustive || T.Accesses.empty())
-    return T;
+    return;
 
   const Cfg C = Cfg::build(K);
   const size_t N = K.Blocks.size();
@@ -740,8 +766,8 @@ AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
           NewIn.join(Out[P]);
         In[B] = NewIn;
         if (NewIn.Reached)
-          for (const ir::Inst &I : K.Blocks[B].Insts)
-            Eval.eval(NewIn, I);
+          for (size_t I = 0; I < K.Blocks[B].Insts.size(); ++I)
+            Eval.eval(NewIn, K.Blocks[B].Insts[I], Pre[B][I]);
         if (NewIn != Out[B]) {
           Out[B] = std::move(NewIn);
           for (int S : K.Blocks[B].Succs) {
@@ -759,10 +785,9 @@ AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
         Env Walk = In[B];
         for (size_t I = 0; I < K.Blocks[B].Insts.size(); ++I) {
           const ir::Inst &Inst = K.Blocks[B].Insts[I];
-          const vm::Pre P = vm::predecode(Inst.Asm);
-          const Operand *Mem =
-              isMemOp(P.Kind) ? memOperand(Inst.Asm, P.Kind) : nullptr;
-          if (Mem) {
+          if (AccIdx < T.Accesses.size() &&
+              T.Accesses[AccIdx].Block == static_cast<int>(B) &&
+              T.Accesses[AccIdx].Inst == static_cast<int>(I)) {
             Access &A = T.Accesses[AccIdx++];
             const Guard G = Walk.Reached ? Eval.guardOf(Walk, Inst.Asm)
                                          : Guard::False;
@@ -776,22 +801,21 @@ AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
               // execute, so a concrete fault/race witness would be an
               // overclaim.
               if (G == Guard::True &&
-                  LaneEval::reg(Walk, Mem->Value[0]).known32(Base)) {
+                  LaneEval::reg(Walk, A.Mem->Value[0]).known32(Base)) {
                 A.State[Ctx] = Access::KnownAddr;
                 A.Addr[Ctx] = static_cast<uint64_t>(Base) +
-                              static_cast<uint64_t>(Mem->Value[1]);
+                              static_cast<uint64_t>(A.Mem->Value[1]);
               } else {
                 A.State[Ctx] = Access::MayUnknown;
               }
             }
           }
           if (Walk.Reached)
-            Eval.eval(Walk, Inst);
+            Eval.eval(Walk, Inst, Pre[B][I]);
         }
       }
     }
   }
-  return T;
 }
 
 // --- Barrier intervals ----------------------------------------------------
@@ -810,11 +834,12 @@ struct BarrierIntervals {
   }
 };
 
-bool isFullBarrier(const ir::Inst &I) {
-  return vm::predecode(I.Asm).Kind == vm::OpKind::Bar && !I.Asm.hasGuard();
+bool isFullBarrier(const ir::Inst &I, const vm::Pre &P) {
+  return P.Kind == vm::OpKind::Bar && !I.Asm.hasGuard();
 }
 
-BarrierIntervals buildBarrierIntervals(const ir::Kernel &K) {
+BarrierIntervals buildBarrierIntervals(const ir::Kernel &K,
+                                       const PreTable &Pre) {
   BarrierIntervals BI;
   const size_t N = K.Blocks.size();
   BI.SegOfInst.resize(N);
@@ -827,7 +852,7 @@ BarrierIntervals buildBarrierIntervals(const ir::Kernel &K) {
     BI.SegOfInst[B].resize(K.Blocks[B].Insts.size());
     for (size_t I = 0; I < K.Blocks[B].Insts.size(); ++I) {
       BI.SegOfInst[B][I] = Seg;
-      if (isFullBarrier(K.Blocks[B].Insts[I])) {
+      if (isFullBarrier(K.Blocks[B].Insts[I], Pre[B][I])) {
         // The segment after an unguarded BAR.SYNC starts a new epoch; no
         // barrier-free edge crosses the split.
         Seg = NumSegs++;
@@ -1097,7 +1122,9 @@ Report analysis::checkTypes(const ir::Program &P) {
 Report analysis::checkBounds(const ir::Kernel &K, const LaunchShape &Shape) {
   DCB_SPAN("analysis.checkBounds");
   Report R;
-  const AccessTable T = buildAccessTable(K, Shape);
+  const PreTable Pre = predecodeKernel(K);
+  AccessTable T = collectAccesses(K, Pre, Shape);
+  evaluateContexts(T, K, Pre, Shape);
   const TypeInference Types = inferTypes(K);
 
   for (const Access &A : T.Accesses) {
@@ -1194,12 +1221,10 @@ Report analysis::checkBounds(const ir::Kernel &K, const LaunchShape &Shape) {
           if (A.Block != static_cast<int>(B) || A.Inst != InstIdx)
             return;
           const ir::Inst &I = K.Blocks[B].Insts[InstIdx];
-          const vm::Pre P = vm::predecode(I.Asm);
-          const Operand *Mem = memOperand(I.Asm, P.Kind);
-          if (!Mem || Mem->Value[0] < 0 ||
-              Mem->Value[0] >= static_cast<int64_t>(kNumRegSlots))
+          if (A.Mem->Value[0] < 0 ||
+              A.Mem->Value[0] >= static_cast<int64_t>(kNumRegSlots))
             return;
-          const unsigned Slot = static_cast<unsigned>(Mem->Value[0]);
+          const unsigned Slot = static_cast<unsigned>(A.Mem->Value[0]);
           const TypeMask M = Masks[Slot];
           const TypeMask Ptr = M & kTypePtrAny;
           TypeMask Bit = 0;
@@ -1242,7 +1267,8 @@ Report analysis::checkRaces(const ir::Kernel &K, const LaunchShape &Shape) {
   DCB_SPAN("analysis.checkRaces");
   Report R;
 
-  AccessTable T = buildAccessTable(K, Shape);
+  const PreTable Pre = predecodeKernel(K);
+  AccessTable T = collectAccesses(K, Pre, Shape);
   std::vector<Access *> Shared;
   for (Access &A : T.Accesses)
     if (A.Region == vm::RegionKind::Shared)
@@ -1254,8 +1280,9 @@ Report analysis::checkRaces(const ir::Kernel &K, const LaunchShape &Shape) {
     countRules(R);
     return R;
   }
+  evaluateContexts(T, K, Pre, Shape);
 
-  const BarrierIntervals BI = buildBarrierIntervals(K);
+  const BarrierIntervals BI = buildBarrierIntervals(K, Pre);
   for (Access *A : Shared)
     A->Seg = BI.SegOfInst[static_cast<size_t>(A->Block)]
                          [static_cast<size_t>(A->Inst)];
@@ -1325,8 +1352,6 @@ Report analysis::checkRaces(const ir::Kernel &K, const LaunchShape &Shape) {
         Covered[IA] = true;
         Covered[IB] = true;
       } else if (Unresolved) {
-        // Remember both ends; emit once per site below.
-        Covered[IA] = Covered[IA] || false;
         if (A.IsStore || B.IsStore) {
           const size_t Site = A.IsStore ? IA : IB;
           if (!Covered[Site]) {

@@ -284,7 +284,7 @@ asmgen::assembleProgram(const EncodingDatabase &Db,
   // successes, each overwritten exactly once by its own index.
   std::vector<Expected<BitString>> Results(
       Jobs.size(), Expected<BitString>(BitString()));
-  TaskPool Pool(Options.NumThreads);
+  TaskPool Pool(Options.lanesFor(Jobs.size()));
   parallelForChunked(
       Pool, Jobs.size(), Options.ChunkSize,
       [&](size_t I) {

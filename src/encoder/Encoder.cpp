@@ -529,7 +529,7 @@ encoder::encodeProgram(const ArchSpec &Spec,
   // successes, each overwritten exactly once by its own index.
   std::vector<Expected<BitString>> Results(
       Jobs.size(), Expected<BitString>(BitString()));
-  TaskPool Pool(Options.NumThreads);
+  TaskPool Pool(Options.lanesFor(Jobs.size()));
   parallelForChunked(
       Pool, Jobs.size(), Options.ChunkSize,
       [&](size_t I) {
@@ -556,7 +556,7 @@ encoder::decodeProgram(const ArchSpec &Spec,
   // state, so prefill with successes, each overwritten by its own index.
   std::vector<Expected<Instruction>> Results(
       Jobs.size(), Expected<Instruction>(Instruction()));
-  TaskPool Pool(Options.NumThreads);
+  TaskPool Pool(Options.lanesFor(Jobs.size()));
   parallelForChunked(
       Pool, Jobs.size(), Options.ChunkSize,
       [&](size_t I) {

@@ -26,12 +26,21 @@ struct PoolTelemetry {
 
 } // namespace
 
-TaskPool::TaskPool(unsigned NumThreads) {
-  if (NumThreads == 0) {
+unsigned TaskPool::resolveThreads(unsigned NumThreads) {
+  if (NumThreads == 0)
     NumThreads = std::thread::hardware_concurrency();
-    if (NumThreads == 0)
-      NumThreads = 1;
-  }
+  return std::max(1u, NumThreads);
+}
+
+unsigned BatchOptions::lanesFor(size_t NumItems) const {
+  const size_t Chunk = std::max<size_t>(1, ChunkSize);
+  const size_t NumChunks = (NumItems + Chunk - 1) / Chunk;
+  return static_cast<unsigned>(std::clamp<size_t>(
+      NumChunks, 1, TaskPool::resolveThreads(NumThreads)));
+}
+
+TaskPool::TaskPool(unsigned NumThreads) {
+  NumThreads = resolveThreads(NumThreads);
   Workers.reserve(NumThreads - 1);
   for (unsigned W = 0; W + 1 < NumThreads; ++W)
     Workers.emplace_back([this, W] { workerLoop(W); });

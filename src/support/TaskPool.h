@@ -52,6 +52,9 @@ public:
   TaskPool(const TaskPool &) = delete;
   TaskPool &operator=(const TaskPool &) = delete;
 
+  /// \p NumThreads with 0 resolved to the hardware concurrency (>= 1).
+  static unsigned resolveThreads(unsigned NumThreads);
+
   /// Total execution width (workers + the calling thread), always >= 1.
   unsigned numThreads() const {
     return static_cast<unsigned>(Workers.size()) + 1;
@@ -140,6 +143,11 @@ struct BatchOptions {
   /// are still written to per-item slots, so the merge order — and the
   /// output — is byte-identical for every chunk size and thread count.
   size_t ChunkSize = 64;
+
+  /// Lanes worth starting for \p NumItems: NumThreads with 0 resolved to
+  /// the hardware concurrency, capped at the chunk count, so a batch that
+  /// fits in one chunk starts no worker thread.
+  unsigned lanesFor(size_t NumItems) const;
 };
 
 namespace detail {

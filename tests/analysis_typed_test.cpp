@@ -15,6 +15,7 @@
 
 #include "ir/Builder.h"
 #include "sass/Parser.h"
+#include "support/Hash.h"
 #include "support/Rng.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
@@ -23,6 +24,8 @@
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace dcb;
 using namespace dcb::analysis;
@@ -313,6 +316,43 @@ TEST(TypedCheckers, DisjointPerThreadSlotsAreClean) {
   EXPECT_TRUE(R.Findings.empty()) << R.toText();
 }
 
+// --- Findings identity ----------------------------------------------------
+//
+// Pins what checkBounds/checkRaces report on the workload suite of every
+// bench family under the default LaunchShape: the count per rule, a digest
+// of the full report text and the total. Any change to the evaluator that
+// adds, drops or rewords a finding moves one of the three.
+
+TEST(TypedCheckers, SuiteFindingsAreUnchanged) {
+  const Arch Families[] = {Arch::SM20, Arch::SM35, Arch::SM52, Arch::SM61};
+  std::string Table;
+  size_t Total = 0;
+  Hasher Digest;
+  for (Arch A : Families) {
+    std::map<std::string, unsigned> PerRule;
+    for (const ir::Kernel &K : suiteProgram(A).Kernels) {
+      for (const Report &R : {checkBounds(K), checkRaces(K)}) {
+        Digest.update(R.toText());
+        for (const Finding &F : R.Findings)
+          ++PerRule[F.Rule];
+        Total += R.Findings.size();
+      }
+    }
+    Table += archName(A);
+    for (const auto &[Rule, N] : PerRule)
+      Table += " " + Rule + "=" + std::to_string(N);
+    Table += "\n";
+  }
+  EXPECT_EQ(Table, "sm_20 MEM002=115 RAC002=3 RAC003=5\n"
+                   "sm_35 MEM002=113 RAC002=3 RAC003=4\n"
+                   "sm_52 MEM002=113 RAC002=3 RAC003=4\n"
+                   "sm_61 MEM002=113 RAC002=3 RAC003=4\n")
+      << Table;
+  EXPECT_EQ(Digest.digest128().toHex(), "27b66fdae9d8d43df70db344cbc280dd")
+      << Table;
+  EXPECT_EQ(Total, 483u) << Table;
+}
+
 // --- VM validation --------------------------------------------------------
 //
 // The soundness contract the checkers are built around: the bounds/race
@@ -363,8 +403,12 @@ void validateKernel(const ir::Kernel &K, const vm::ExecOptions &Opts,
 
 } // namespace
 
-TEST(VmValidation, SuiteFaultsAndRacesAreCovered) {
-  ir::Program P = suiteProgram(Arch::SM52);
+/// The encoding families the rewrite benchmark runs: Fermi, Kepler,
+/// Maxwell and Pascal.
+class VmValidationPerFamily : public ::testing::TestWithParam<Arch> {};
+
+TEST_P(VmValidationPerFamily, SuiteFaultsAndRacesAreCovered) {
+  ir::Program P = suiteProgram(GetParam());
   vm::ExecOptions Opts;
   Opts.Oob = vm::OobPolicy::Fault;
   Opts.WatchShared = true;
@@ -383,6 +427,13 @@ TEST(VmValidation, SuiteFaultsAndRacesAreCovered) {
   ::testing::Test::RecordProperty("suite_false_positive_kernels",
                                   Tally.FalsePositives);
 }
+
+INSTANTIATE_TEST_SUITE_P(BenchFamilies, VmValidationPerFamily,
+                         ::testing::Values(Arch::SM20, Arch::SM35, Arch::SM52,
+                                           Arch::SM61),
+                         [](const ::testing::TestParamInfo<Arch> &Info) {
+                           return std::string(archName(Info.param));
+                         });
 
 TEST(VmValidation, SeededFuzzBatchFaultsAreCovered) {
   const Arch A = Arch::SM52;

@@ -316,6 +316,25 @@ TEST(TaskPool, ChunkedDispatchToleratesZeroChunkSize) {
   EXPECT_EQ(Sum.load(), 55u);
 }
 
+TEST(BatchOptions, LanesNeverExceedChunkCount) {
+  BatchOptions Four;
+  Four.NumThreads = 4;
+  Four.ChunkSize = 64;
+  EXPECT_EQ(Four.lanesFor(0), 1u);
+  EXPECT_EQ(Four.lanesFor(64), 1u) << "one chunk runs inline";
+  EXPECT_EQ(Four.lanesFor(65), 2u);
+  EXPECT_EQ(Four.lanesFor(10000), 4u);
+  Four.ChunkSize = 0; // Treated as 1, as parallelForChunked does.
+  EXPECT_EQ(Four.lanesFor(3), 3u);
+
+  BatchOptions AllCores;
+  AllCores.NumThreads = 0;
+  EXPECT_EQ(AllCores.lanesFor(1), 1u);
+  EXPECT_EQ(AllCores.lanesFor(size_t(1) << 30),
+            TaskPool::resolveThreads(0));
+  EXPECT_GE(TaskPool::resolveThreads(0), 1u);
+}
+
 TEST(SymbolTable, InternIsIdempotentAndOrdered) {
   SymbolTable &Syms = SymbolTable::global();
   SymbolId A = Syms.intern("symtab-test-alpha");
