@@ -6,6 +6,7 @@
 #include <array>
 #include <cassert>
 #include <memory>
+#include <mutex>
 
 using namespace dcb;
 using namespace dcb::isa;
@@ -39,16 +40,14 @@ std::unique_ptr<ArchSpec> buildSpec(Arch A) {
 } // namespace
 
 const ArchSpec &isa::getArchSpec(Arch A) {
-  // Lazily built and immutable afterwards; function-local statics give us
-  // thread-safe initialization without static constructors.
-  static const std::array<std::unique_ptr<ArchSpec>, 9> Specs = [] {
-    std::array<std::unique_ptr<ArchSpec>, 9> Result;
-    const Arch All[] = {Arch::SM20, Arch::SM21, Arch::SM30,
-                        Arch::SM35, Arch::SM50, Arch::SM52,
-                        Arch::SM60, Arch::SM61, Arch::SM70};
-    for (Arch Each : All)
-      Result[static_cast<size_t>(Each)] = buildSpec(Each);
-    return Result;
-  }();
-  return *Specs[static_cast<size_t>(A)];
+  // Each arch's spec is built, checked and frozen on its own first use, so
+  // a command pays only for the archs it touches. Immutable afterwards;
+  // call_once makes the per-arch initialization thread-safe.
+  constexpr size_t NumArchs = 9;
+  static std::array<std::once_flag, NumArchs> Built;
+  static std::array<std::unique_ptr<ArchSpec>, NumArchs> Specs;
+  const size_t I = static_cast<size_t>(A);
+  assert(I < NumArchs && "unknown arch");
+  std::call_once(Built[I], [&] { Specs[I] = buildSpec(A); });
+  return *Specs[I];
 }

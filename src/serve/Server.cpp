@@ -1038,44 +1038,48 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
                FrameBytesIn, Rq = std::move(Rq)]() mutable {
     uint64_t Wait = nowNs() - Queued;
     Tel.QueueWait.record(Wait);
-    DCB_SPAN("serve.op");
-    Expected<OpResult> Out = [&]() -> Expected<OpResult> {
-      if (Rq.Op == "disasm") {
-        vendor::DisasmOptions D;
-        D.NumThreads = Rq.Jobs;
-        return opDisasm(std::vector<uint8_t>(Rq.Raw.begin(), Rq.Raw.end()),
-                        D);
-      }
-      if (Rq.Op == "asm") {
-        BatchOptions B;
-        B.NumThreads = Rq.Jobs;
-        return opAsm(*Db, Rq.Raw, B);
-      }
-      if (Rq.Op == "lint")
-        return opLint(Rq.Raw, Rq.LintName);
-      if (Rq.Op == "analyze")
-        return opAnalyze(Rq.Raw, Rq.LintName, Rq.Analyze);
-      return opExec(Rq.Raw, Rq.Name, Rq.Kernel, Rq.Exec);
-    }();
     std::string Resp;
-    const char *Status;
-    if (Out.hasValue()) {
-      // Mirror to cache and (when enabled) disk before answering, so a
-      // crash right after the response cannot lose an entry the client
-      // believes the daemon has.
-      if (Cache.put(Key, *Out) && Persister) {
-        if (Error E = Persister->append(Key, *Out)) {
-          (void)E; // The entry still serves from memory.
-          Tel.PersistErrors.add();
+    const char *Status = nullptr;
+    {
+      // The span closes before the response is handed to the reactor, so a
+      // client that has its reply also finds the op in a trace it asks for.
+      DCB_SPAN("serve.op");
+      Expected<OpResult> Out = [&]() -> Expected<OpResult> {
+        if (Rq.Op == "disasm") {
+          vendor::DisasmOptions D;
+          D.NumThreads = Rq.Jobs;
+          return opDisasm(std::vector<uint8_t>(Rq.Raw.begin(), Rq.Raw.end()),
+                          D);
         }
+        if (Rq.Op == "asm") {
+          BatchOptions B;
+          B.NumThreads = Rq.Jobs;
+          return opAsm(*Db, Rq.Raw, B);
+        }
+        if (Rq.Op == "lint")
+          return opLint(Rq.Raw, Rq.LintName);
+        if (Rq.Op == "analyze")
+          return opAnalyze(Rq.Raw, Rq.LintName, Rq.Analyze);
+        return opExec(Rq.Raw, Rq.Name, Rq.Kernel, Rq.Exec);
+      }();
+      if (Out.hasValue()) {
+        // Mirror to cache and (when enabled) disk before answering, so a
+        // crash right after the response cannot lose an entry the client
+        // believes the daemon has.
+        if (Cache.put(Key, *Out) && Persister) {
+          if (Error E = Persister->append(Key, *Out)) {
+            (void)E; // The entry still serves from memory.
+            Tel.PersistErrors.add();
+          }
+        }
+        Resp = renderResult(Rq.Op, Rq.Id, /*Cached=*/false, *Out);
+        Status = "ok";
+      } else {
+        TotalErrors.fetch_add(1, std::memory_order_relaxed);
+        Tel.Errors.add();
+        Resp = jsonError(Rq.Id, Out.message());
+        Status = "error";
       }
-      Resp = renderResult(Rq.Op, Rq.Id, /*Cached=*/false, *Out);
-      Status = "ok";
-    } else {
-      TotalErrors.fetch_add(1, std::memory_order_relaxed);
-      Tel.Errors.add();
-      Resp = jsonError(Rq.Id, Out.message());
-      Status = "error";
     }
     uint64_t RespBytes = Resp.size() + 1;
     Slot->finish(std::move(Resp));

@@ -24,6 +24,25 @@ struct PoolTelemetry {
       telemetry::counter("taskpool.submit_exceptions");
 } Tel;
 
+/// Runs every task on the calling thread as lane \p Lane. Tasks run in
+/// index order, so the first exception is the lowest index's; the rest
+/// still run, as they would on the lanes.
+void runInline(size_t Tasks,
+               const std::function<void(unsigned, size_t)> &TaskFn,
+               unsigned Lane) {
+  std::exception_ptr Error;
+  for (size_t Idx = 0; Idx < Tasks; ++Idx) {
+    try {
+      TaskFn(Lane, Idx);
+    } catch (...) {
+      if (!Error)
+        Error = std::current_exception();
+    }
+  }
+  if (Error)
+    std::rethrow_exception(Error);
+}
+
 } // namespace
 
 unsigned TaskPool::resolveThreads(unsigned NumThreads) {
@@ -41,6 +60,7 @@ unsigned BatchOptions::lanesFor(size_t NumItems) const {
 
 TaskPool::TaskPool(unsigned NumThreads) {
   NumThreads = resolveThreads(NumThreads);
+  LaneState = std::make_unique<Lane[]>(NumThreads - 1);
   Workers.reserve(NumThreads - 1);
   for (unsigned W = 0; W + 1 < NumThreads; ++W)
     Workers.emplace_back([this, W] { workerLoop(W); });
@@ -51,40 +71,56 @@ TaskPool::~TaskPool() {
     std::lock_guard<std::mutex> Lock(M);
     Stopping = true;
   }
-  BatchStart.notify_all();
+  for (size_t W = 0; W < Workers.size(); ++W)
+    LaneState[W].Wake.notify_one();
   for (std::thread &T : Workers)
     T.join();
 }
 
+TaskPool &TaskPool::process() {
+  // Deliberately leaked: a worker parked at exit is harmless, while
+  // joining in a static destructor would race callers still running.
+  static TaskPool *Pool = new TaskPool(0);
+  return *Pool;
+}
+
 void TaskPool::workerLoop(unsigned WorkerIdx) {
-  uint64_t SeenBatch = 0;
+  Lane &Me = LaneState[WorkerIdx];
   for (;;) {
     std::function<void()> Task;
+    bool Join = false;
     {
       std::unique_lock<std::mutex> Lock(M);
-      BatchStart.wait(Lock, [&] {
-        return Stopping || Batch != SeenBatch || !Submitted.empty();
-      });
-      // Batches are barriers the whole pool waits on, so they outrank
-      // queued tasks; submitted work drains whenever no batch is pending.
-      // On shutdown, accepted submissions still run before the worker
-      // exits — trySubmit never silently drops a task.
-      if (Batch != SeenBatch) {
-        SeenBatch = Batch;
+      // Idle is set on each park: trySubmit clears it on the worker it
+      // wakes, and if another worker took that task first, this one must
+      // be findable again before it waits.
+      while (!(Stopping || Me.Assigned || !Submitted.empty())) {
+        Me.Idle = true;
+        Me.Wake.wait(Lock);
+      }
+      Me.Idle = false;
+      // Batches are barriers their caller waits on, so they outrank
+      // queued tasks. On shutdown, accepted submissions still run before
+      // the worker exits — trySubmit never silently drops a task.
+      if (Me.Assigned) {
+        Me.Assigned = false; // Started: the caller now waits for this lane.
+        Join = true;
       } else if (!Submitted.empty()) {
         Task = std::move(Submitted.front());
         Submitted.pop_front();
         ++SubmittedRunning;
-      } else if (Stopping) {
-        return;
       } else {
-        continue; // Spurious wakeup with nothing to do.
+        return; // Stopping.
       }
     }
-    if (Task)
+    if (!Join) {
       runSubmitted(Task);
-    else
-      drainBatch(WorkerIdx);
+      continue;
+    }
+    drainBatch(WorkerIdx);
+    std::lock_guard<std::mutex> Lock(M);
+    if (--Active == 0)
+      BatchDone.notify_all();
   }
 }
 
@@ -110,7 +146,14 @@ TaskPool::Submit TaskPool::trySubmit(std::function<void()> Task,
       }
       Submitted.push_back(std::move(Task));
       Tel.Submitted.add();
-      BatchStart.notify_one();
+      // Wake one parked worker; with none parked, a busy one takes the
+      // task when it next looks at the queue.
+      for (size_t W = 0; W < Workers.size(); ++W)
+        if (LaneState[W].Idle) {
+          LaneState[W].Idle = false;
+          LaneState[W].Wake.notify_one();
+          break;
+        }
       return Submit::Queued;
     }
     // No workers: run inline below. The queue never grows, so a bound
@@ -163,13 +206,11 @@ void TaskPool::drainBatch(unsigned WorkerIdx) {
       telemetry::recordSpan("taskpool.drain", DrainStart,
                             DrainEnd - DrainStart);
   }
-  std::lock_guard<std::mutex> Lock(M);
-  if (--Active == 0)
-    BatchDone.notify_all();
 }
 
 void TaskPool::parallelFor(
-    size_t Tasks, const std::function<void(unsigned, size_t)> &TaskFn) {
+    size_t Tasks, const std::function<void(unsigned, size_t)> &TaskFn,
+    unsigned MaxLanes) {
   if (Tasks == 0)
     return;
   telemetry::ScopedSpan Span("taskpool.batch");
@@ -178,28 +219,55 @@ void TaskPool::parallelFor(
     Tel.Batches.add();
     Tel.Tasks.add(Tasks);
   }
+  const size_t Lanes = std::min<size_t>(
+      {Tasks, numThreads(), MaxLanes ? MaxLanes : numThreads()});
+  uint64_t Start = 0;
   {
-    std::lock_guard<std::mutex> Lock(M);
+    std::unique_lock<std::mutex> Lock(M);
+    if (Lanes <= 1 || InBatch) {
+      Lock.unlock();
+      runInline(Tasks, TaskFn, static_cast<unsigned>(Workers.size()));
+      return;
+    }
+    InBatch = true;
     Fn = &TaskFn;
     NumTasks = Tasks;
     Next.store(0, std::memory_order_relaxed);
-    Active = Workers.size() + 1; // Workers + this (the calling) thread.
     FirstError = nullptr;
     FirstErrorIdx = 0;
     Timing = Counting || telemetry::spansEnabled();
     BatchStartNs = Timing ? telemetry::nowNs() : 0;
-    ++Batch;
+    Start = BatchStartNs;
+    // Lanes go by worker index, so a batch of N lanes always runs on
+    // workers 0..N-2 and the caller.
+    for (size_t W = 0; W + 1 < Lanes; ++W)
+      LaneState[W].Assigned = true;
+    Active = Lanes - 1;
   }
-  BatchStart.notify_all();
+  for (size_t W = 0; W + 1 < Lanes; ++W)
+    LaneState[W].Wake.notify_one();
 
   // The caller is the highest-numbered lane.
   drainBatch(static_cast<unsigned>(Workers.size()));
 
-  std::unique_lock<std::mutex> Lock(M);
-  BatchDone.wait(Lock, [&] { return Active == 0; });
-  Fn = nullptr;
+  std::exception_ptr Error;
+  {
+    std::unique_lock<std::mutex> Lock(M);
+    // Every task is claimed, so a lane that has not started yet (busy
+    // with a submitted task) is released instead of waited for.
+    for (size_t W = 0; W + 1 < Lanes; ++W)
+      if (LaneState[W].Assigned) {
+        LaneState[W].Assigned = false;
+        --Active;
+      }
+    BatchDone.wait(Lock, [&] { return Active == 0; });
+    Fn = nullptr;
+    InBatch = false;
+    Error = std::move(FirstError);
+    FirstError = nullptr;
+  }
   if (Counting)
-    Tel.BatchNs.record(telemetry::nowNs() - BatchStartNs);
-  if (FirstError)
-    std::rethrow_exception(FirstError);
+    Tel.BatchNs.record(telemetry::nowNs() - Start);
+  if (Error)
+    std::rethrow_exception(Error);
 }

@@ -9,13 +9,21 @@
 /// is deterministic *results* under nondeterministic scheduling: callers
 /// index a preallocated output slot by task index, so however the pool
 /// interleaves execution, draining the slots in index order reproduces the
-/// serial order exactly. The bit flipper is the first client; any subsystem
-/// with an embarrassingly parallel hot loop (batch disassembly, per-kernel
-/// transforms) can reuse it.
+/// serial order exactly.
 ///
 /// Threads are spawned once in the constructor and parked on a condition
-/// variable between batches, so repeated parallelFor calls (one per flip
-/// round) pay no thread-creation cost after the first.
+/// variable between batches, so repeated parallelFor calls pay no
+/// thread-creation cost after the first. A batch wakes only the lanes it
+/// asks for, and the caller never waits for a lane that has not started.
+///
+/// TaskPool::process() is the one pool a process shares: created on first
+/// use, sized to the hardware (hardware_concurrency() - 1 parked workers,
+/// however few lanes its callers ask for), never destroyed. GridVm runs its blocks on
+/// it; encoder, asmgen and the bit flipper still build a pool per call.
+/// A parallelFor that finds its pool busy — another thread's batch, or a
+/// call from inside one of the pool's own tasks — runs its tasks inline
+/// instead of waiting, so sharing the pool can neither deadlock nor make
+/// one caller wait on another's batch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +39,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -60,17 +69,27 @@ public:
     return static_cast<unsigned>(Workers.size()) + 1;
   }
 
+  /// The process-wide pool, created on first use with one lane per
+  /// hardware thread. It is never destroyed: its workers stay parked for
+  /// the life of the process.
+  static TaskPool &process();
+
   /// Runs Fn(WorkerIdx, TaskIdx) for every TaskIdx in [0, NumTasks),
-  /// distributing indices dynamically, and blocks until all complete.
-  /// WorkerIdx < numThreads() identifies the executing lane, letting
-  /// callers keep per-lane scratch state without locking.
+  /// distributing indices dynamically over at most \p MaxLanes lanes
+  /// (0 = all of them; the calling thread is one), and blocks until all
+  /// complete. WorkerIdx < numThreads() identifies the executing lane,
+  /// letting callers keep per-lane scratch state without locking.
+  ///
+  /// If the pool is already running a batch (another thread's, or the one
+  /// whose task makes this call), or only one lane is asked for, the tasks
+  /// run inline on the caller in index order.
   ///
   /// If tasks throw, the exception from the lowest-numbered throwing task
   /// is rethrown here (deterministically, regardless of scheduling) after
-  /// the batch drains. Not reentrant: Fn must not call parallelFor on the
-  /// same pool.
+  /// the batch drains.
   void parallelFor(size_t NumTasks,
-                   const std::function<void(unsigned, size_t)> &Fn);
+                   const std::function<void(unsigned, size_t)> &Fn,
+                   unsigned MaxLanes = 0);
 
   /// Outcome of trySubmit: Queued means the task was accepted (and will
   /// run, or already ran inline); WouldBlock means the bounded queue was
@@ -105,17 +124,25 @@ private:
   void drainBatch(unsigned WorkerIdx);
   void runSubmitted(std::function<void()> &Task);
 
+  /// One worker's wake-up state. Each worker parks on its own condition
+  /// variable, so a batch wakes exactly the lanes it takes.
+  struct Lane {
+    std::condition_variable Wake;
+    bool Assigned = false; ///< Holds a lane of the batch, not yet started.
+    bool Idle = false;     ///< Parked; trySubmit may wake it.
+  };
+
   std::vector<std::thread> Workers;
+  std::unique_ptr<Lane[]> LaneState; ///< One per worker.
 
   mutable std::mutex M;
-  std::condition_variable BatchStart; ///< Wakes parked workers.
-  std::condition_variable BatchDone;  ///< Wakes the caller in parallelFor.
+  std::condition_variable BatchDone; ///< Wakes the caller in parallelFor.
   const std::function<void(unsigned, size_t)> *Fn = nullptr;
   size_t NumTasks = 0;
   std::atomic<size_t> Next{0}; ///< Next unclaimed task index (lock-free:
                                ///< tasks can be microseconds long).
-  size_t Active = 0;           ///< Lanes still draining the current batch.
-  uint64_t Batch = 0; ///< Generation counter workers wait on.
+  bool InBatch = false; ///< A parallelFor owns the batch state below.
+  size_t Active = 0;    ///< Lanes assigned or draining, the caller aside.
   bool Stopping = false;
 
   std::exception_ptr FirstError;

@@ -5,7 +5,9 @@
 #include "support/Telemetry.h"
 #include "vm/Vm.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 using namespace dcb;
 using namespace dcb::vm;
@@ -303,11 +305,28 @@ void vm::mergeBlocks(Memory &Mem, std::vector<BlockState> &Blocks,
     // Merge by block index: every byte a block changed relative to the
     // launch-initial image lands in ascending order, so later blocks win
     // conflicts — the same discipline encodeProgram uses for kernels.
-    const std::vector<uint8_t> Init = Mem.Global;
-    for (const BlockState &B : Blocks)
-      for (size_t I = 0; I < Init.size(); ++I)
-        if (B.Global[I] != Init[I])
-          Mem.Global[I] = B.Global[I];
+    // A chunk no block touched costs one memcmp per block; only chunks
+    // that differ are merged byte by byte, against a saved copy of the
+    // chunk's initial bytes once an earlier block has overwritten them.
+    constexpr size_t Chunk = 64;
+    uint8_t Init[Chunk];
+    std::vector<uint8_t> &G = Mem.Global;
+    for (size_t Off = 0; Off < G.size(); Off += Chunk) {
+      const size_t Len = std::min(Chunk, G.size() - Off);
+      const uint8_t *Base = G.data() + Off;
+      for (const BlockState &B : Blocks) {
+        const uint8_t *Src = B.Global.data() + Off;
+        if (std::memcmp(Src, Base, Len) == 0)
+          continue;
+        if (Base != Init) {
+          std::memcpy(Init, Base, Len);
+          Base = Init;
+        }
+        for (size_t I = 0; I < Len; ++I)
+          if (Src[I] != Init[I])
+            G[Off + I] = Src[I];
+      }
+    }
     Mem.Shared = std::move(Blocks.back().Shared);
   }
 

@@ -324,7 +324,9 @@ struct BlockState {
 
   std::vector<uint32_t> Regs;              ///< NumThreads * 256.
   std::vector<uint8_t> Preds;              ///< NumThreads * 7.
-  std::vector<std::vector<uint8_t>> Local; ///< Per-lane local memory.
+  std::vector<std::vector<uint8_t>> Local; ///< Per-lane local memory,
+                                           ///< zero-filled on first access.
+  size_t LocalSize = 0;                    ///< Bytes of each lane's Local.
   std::vector<uint64_t> Steps;             ///< Per-lane issue counts.
   std::vector<uint8_t> Global;             ///< Block-private copy.
   std::vector<uint8_t> Shared;             ///< Block arena.
@@ -346,10 +348,11 @@ struct BlockState {
   };
   bool WatchShared = false;
   uint64_t Epoch = 1; ///< Bumped at every barrier release (0 = never).
-  std::vector<SharedCell> SharedCells;
+  std::vector<SharedCell> SharedCells; ///< One per shared byte, allocated
+                                       ///< on the first watched access.
 
   void init(const Memory &Mem, unsigned Threads, unsigned Warp,
-            uint32_t CtaidX, unsigned MaxSteps, size_t LocalSize,
+            uint32_t CtaidX, unsigned MaxSteps, size_t LocalBytes,
             OobPolicy Policy, bool Watch = false) {
     NumThreads = Threads;
     WarpSize = Warp;
@@ -358,7 +361,8 @@ struct BlockState {
     Oob = Policy;
     Regs.assign(static_cast<size_t>(Threads) * 256, 0);
     Preds.assign(static_cast<size_t>(Threads) * 7, 0);
-    Local.assign(Threads, std::vector<uint8_t>(LocalSize, 0));
+    Local.assign(Threads, {});
+    LocalSize = LocalBytes;
     Steps.assign(Threads, 0);
     Global = Mem.Global;
     Shared = Mem.Shared;
@@ -366,8 +370,6 @@ struct BlockState {
     WatchShared = Watch;
     Epoch = 1;
     SharedCells.clear();
-    if (Watch)
-      SharedCells.assign(Shared.size(), SharedCell{});
   }
 
   /// Records one shared-memory access for the watch. Bytes follow the
@@ -376,8 +378,10 @@ struct BlockState {
   /// access, not per byte.
   void noteSharedAccess(unsigned Tid, uint64_t Addr, unsigned Bytes,
                         bool IsStore) {
-    if (!WatchShared || SharedCells.empty())
+    if (!WatchShared || Shared.empty())
       return;
+    if (SharedCells.empty())
+      SharedCells.assign(Shared.size(), SharedCell{});
     bool Conflict = false;
     for (unsigned I = 0; I < Bytes; ++I) {
       SharedCell &Cell = SharedCells[(Addr + I) % SharedCells.size()];
@@ -443,8 +447,12 @@ struct BlockState {
 
   std::vector<uint8_t> &regionFor(RegionKind Region, unsigned Tid) {
     switch (Region) {
-    case RegionKind::Local:
-      return Local[Tid];
+    case RegionKind::Local: {
+      std::vector<uint8_t> &L = Local[Tid];
+      if (L.size() != LocalSize)
+        L.assign(LocalSize, 0); // First touch.
+      return L;
+    }
     case RegionKind::Shared:
       return Shared;
     case RegionKind::Global:

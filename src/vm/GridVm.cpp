@@ -6,8 +6,9 @@
 // function table indexed by OpKind. The hot path touches no strings, no
 // std::map, and no sass::Operand; it shares the warp scheduler and every
 // scalar expression with RefVm (Dispatch.h), which is what makes the two
-// tiers bit-identical. Blocks run concurrently on TaskPool lanes into
-// private BlockStates and merge deterministically by block index.
+// tiers bit-identical. Blocks run concurrently on lanes of the process-wide
+// TaskPool into private BlockStates and merge deterministically by block
+// index.
 //
 //===----------------------------------------------------------------------===//
 
@@ -846,8 +847,7 @@ Expected<GridResult> GridVm::run(const Kernel &K, Memory &Mem,
 
   {
     DCB_SPAN("vm.grid_run");
-    TaskPool Pool(NumBlocks == 1 ? 1 : Config.NumLanes);
-    Pool.parallelFor(NumBlocks, [&](unsigned, size_t Idx) {
+    auto RunBlock = [&](unsigned, size_t Idx) {
       BlockState &B = Blocks[Idx];
       B.init(Mem, Config.NumThreads, Config.WarpSize,
              Config.BlockId + static_cast<uint32_t>(Idx),
@@ -859,7 +859,13 @@ Expected<GridResult> GridVm::run(const Kernel &K, Memory &Mem,
         Errors[Idx] = R.message();
       else
         ++B.Stats.Blocks;
-    });
+    };
+    // A one-lane launch runs inline and never creates the process pool.
+    if (NumBlocks == 1 || TaskPool::resolveThreads(Config.NumLanes) == 1)
+      for (size_t Idx = 0; Idx < NumBlocks; ++Idx)
+        RunBlock(0, Idx);
+    else
+      TaskPool::process().parallelFor(NumBlocks, RunBlock, Config.NumLanes);
   }
 
   // Deterministic error selection: the lowest failing block wins, whatever

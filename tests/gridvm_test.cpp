@@ -11,11 +11,15 @@
 
 #include "analyzer/IsaAnalyzer.h"
 #include "ir/Builder.h"
+#include "support/TaskPool.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <thread>
 
 using namespace dcb;
 using namespace dcb::vm;
@@ -235,4 +239,193 @@ TEST(GridParity, SeededMemoryIsDeterministic) {
 
   Memory C = seededMemory(43, 32);
   EXPECT_NE(A.Global, C.Global); // Different seed, different image.
+}
+
+// --- Summary hashes against an independent oracle ---------------------------
+
+namespace {
+
+/// Byte-at-a-time FNV-1a, written here so the check shares no code with
+/// the word-folded, chain-interleaved hashing in vm/Differ.cpp.
+struct OracleFnv {
+  uint64_t H = 0xcbf29ce484222325ull;
+  void byte(uint8_t B) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  void bytes(const std::vector<uint8_t> &Bytes) {
+    for (uint8_t B : Bytes)
+      byte(B);
+  }
+};
+
+} // namespace
+
+// For every suite kernel of the four bench families, execKernel's
+// GlobalCrc/SharedCrc/RegsCrc must equal a plain FNV-1a over the final
+// state of the same GridVm launch, with the shared watch on and off and on
+// one and two lanes. The suite includes kernels that touch local memory
+// and kernels that store to shared memory, so the lazily allocated block
+// regions are part of what is hashed.
+TEST(GridSummaries, HashesMatchAnIndependentOracle) {
+  const uint64_t Seed = 3;
+  unsigned Checked = 0, LocalKernels = 0, SharedStoreKernels = 0;
+  for (Arch A : {Arch::SM20, Arch::SM35, Arch::SM52, Arch::SM61}) {
+    for (const CompiledSuiteKernel &S : compileSuite(A)) {
+      for (bool Watch : {false, true}) {
+        for (unsigned Lanes : {1u, 2u}) {
+          ExecOptions Opts;
+          Opts.NumLanes = Lanes;
+          Opts.WatchShared = Watch;
+          const ExecSummary Sum = execKernel(S.K, Seed, Opts);
+
+          LaunchConfig Config;
+          Config.NumThreads = Opts.NumThreads;
+          Config.NumBlocks = Opts.NumBlocks;
+          Config.WarpSize = Opts.WarpSize;
+          Config.NumLanes = Lanes;
+          Config.Oob = Opts.Oob;
+          Config.WatchShared = Watch;
+          Memory Mem = seededMemory(Seed, Config.NumThreads);
+          Expected<GridResult> R = GridVm().run(S.K, Mem, Config);
+
+          const std::string What = std::string(archName(A)) + "/" + S.Name +
+                                   (Watch ? " watch" : "") + " lanes=" +
+                                   std::to_string(Lanes);
+          ASSERT_EQ(Sum.Failed, !R.hasValue()) << What;
+          if (!R) {
+            EXPECT_EQ(Sum.Error, R.message()) << What;
+            continue;
+          }
+          OracleFnv Global, Shared, Regs;
+          Global.bytes(Mem.Global);
+          Shared.bytes(Mem.Shared);
+          for (const ThreadResult &T : R->Threads) {
+            for (uint32_t V : T.Regs)
+              for (unsigned Shift = 0; Shift < 32; Shift += 8)
+                Regs.byte(static_cast<uint8_t>(V >> Shift));
+            for (bool P : T.Preds)
+              Regs.byte(P ? 1 : 0);
+          }
+          EXPECT_EQ(Sum.GlobalCrc, Global.H) << What;
+          EXPECT_EQ(Sum.SharedCrc, Shared.H) << What;
+          EXPECT_EQ(Sum.RegsCrc, Regs.H) << What;
+          EXPECT_EQ(Sum.LaneSteps, R->LaneSteps) << What;
+          EXPECT_EQ(Sum.SharedConflicts, R->SharedConflicts) << What;
+          ++Checked;
+          if (Watch || Lanes != 1)
+            continue;
+          LocalKernels += S.Text.find("LDL") != std::string::npos ||
+                          S.Text.find("STL") != std::string::npos;
+          SharedStoreKernels += S.Text.find("STS") != std::string::npos;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Checked, 400u);
+  EXPECT_GE(LocalKernels, 1u);
+  EXPECT_GE(SharedStoreKernels, 1u);
+}
+
+// --- The process-wide pool ---------------------------------------------------
+
+namespace {
+
+void expectSameSummary(const ExecSummary &A, const ExecSummary &B,
+                       const std::string &What) {
+  EXPECT_EQ(A.Failed, B.Failed) << What;
+  EXPECT_EQ(A.Error, B.Error) << What;
+  EXPECT_EQ(A.Issues, B.Issues) << What;
+  EXPECT_EQ(A.LaneSteps, B.LaneSteps) << What;
+  EXPECT_EQ(A.MemWraps, B.MemWraps) << What;
+  EXPECT_EQ(A.Barriers, B.Barriers) << What;
+  EXPECT_EQ(A.SharedConflicts, B.SharedConflicts) << What;
+  EXPECT_EQ(A.GlobalCrc, B.GlobalCrc) << What;
+  EXPECT_EQ(A.SharedCrc, B.SharedCrc) << What;
+  EXPECT_EQ(A.RegsCrc, B.RegsCrc) << What;
+}
+
+std::vector<ExecSummary> runSuite(const std::vector<CompiledSuiteKernel> &Suite,
+                                  const ExecOptions &Opts) {
+  std::vector<ExecSummary> Out;
+  for (const CompiledSuiteKernel &S : Suite)
+    Out.push_back(execKernel(S.K, 5, Opts));
+  return Out;
+}
+
+/// The `Threads:` line of /proc/self/status, or 0 where there is none.
+unsigned processThreadCount() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("Threads:", 0) == 0)
+      return static_cast<unsigned>(std::stoul(Line.substr(8)));
+  return 0;
+}
+
+} // namespace
+
+// Four threads launch the whole suite on two lanes at once. Only one of
+// them can hold the process pool at a time; the others run their blocks
+// inline. Every summary must equal a serial run's.
+TEST(SharedPool, ConcurrentLaunchesMatchASerialRun) {
+  const std::vector<CompiledSuiteKernel> Suite = compileSuite(Arch::SM35);
+  ExecOptions Serial;
+  Serial.WatchShared = true;
+  const std::vector<ExecSummary> Expected = runSuite(Suite, Serial);
+
+  ExecOptions Parallel = Serial;
+  Parallel.NumLanes = 2;
+  std::vector<std::vector<ExecSummary>> Got(4);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < Got.size(); ++T)
+    Threads.emplace_back([&, T] { Got[T] = runSuite(Suite, Parallel); });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (size_t T = 0; T < Got.size(); ++T) {
+    ASSERT_EQ(Got[T].size(), Expected.size());
+    for (size_t I = 0; I < Expected.size(); ++I)
+      expectSameSummary(Expected[I], Got[T][I],
+                        "thread " + std::to_string(T) + " " + Suite[I].Name);
+  }
+}
+
+// A launch made from inside a task of the process pool finds the pool
+// busy with that very batch and runs its blocks inline instead of waiting
+// on itself.
+TEST(SharedPool, LaunchFromInsideAPoolTaskRunsInline) {
+  const std::vector<CompiledSuiteKernel> Suite = compileSuite(Arch::SM35);
+  ASSERT_GE(Suite.size(), 4u);
+  ExecOptions Opts;
+  Opts.NumLanes = 2;
+  Opts.NumBlocks = 4;
+  std::vector<ExecSummary> Nested(4);
+  TaskPool::process().parallelFor(
+      Nested.size(),
+      [&](unsigned, size_t I) {
+        Nested[I] = execKernel(Suite[I].K, 5, Opts);
+      },
+      2);
+  Opts.NumLanes = 1;
+  for (size_t I = 0; I < Nested.size(); ++I)
+    expectSameSummary(execKernel(Suite[I].K, 5, Opts), Nested[I],
+                      Suite[I].Name);
+}
+
+// Launches reuse the process pool's workers: after the first two-lane
+// launch, 200 more leave the process's thread count unchanged.
+TEST(SharedPool, LaunchesDoNotStartThreads) {
+  const std::vector<CompiledSuiteKernel> Suite = compileSuite(Arch::SM35);
+  ASSERT_FALSE(Suite.empty());
+  ExecOptions Opts;
+  Opts.NumLanes = 2;
+  const ExecSummary First = execKernel(Suite[0].K, 1, Opts);
+  const unsigned Before = processThreadCount();
+  if (Before == 0)
+    GTEST_SKIP() << "no /proc/self/status on this host";
+  for (unsigned I = 0; I < 200; ++I)
+    expectSameSummary(First, execKernel(Suite[0].K, 1, Opts),
+                      "launch " + std::to_string(I));
+  EXPECT_EQ(processThreadCount(), Before);
 }

@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -298,6 +301,87 @@ TEST(TaskPool, ZeroThreadsPicksHardwareWidth) {
   EXPECT_EQ(Sum.load(), 64u * 65u / 2u);
 }
 
+TEST(TaskPool, LaneCapLimitsTheLanesABatchUses) {
+  TaskPool Pool(4);
+  std::set<unsigned> Lanes;
+  std::mutex LanesM;
+  Pool.parallelFor(
+      400,
+      [&](unsigned Lane, size_t) {
+        std::lock_guard<std::mutex> Lock(LanesM);
+        Lanes.insert(Lane);
+      },
+      2);
+  // Lanes go by worker index: worker 0 and the caller (the last lane).
+  for (unsigned Lane : Lanes)
+    EXPECT_TRUE(Lane == 0 || Lane == Pool.numThreads() - 1) << Lane;
+}
+
+TEST(TaskPool, NestedBatchRunsInlineOnTheCallingLane) {
+  TaskPool Pool(3);
+  std::vector<int> Inline(8, 0);
+  Pool.parallelFor(8, [&](unsigned, size_t Outer) {
+    const std::thread::id Self = std::this_thread::get_id();
+    bool SameThread = true;
+    size_t Next = 0;
+    bool InOrder = true;
+    Pool.parallelFor(16, [&](unsigned, size_t Inner) {
+      SameThread = SameThread && std::this_thread::get_id() == Self;
+      InOrder = InOrder && Inner == Next++;
+    });
+    Inline[Outer] = SameThread && InOrder && Next == 16;
+  });
+  for (size_t I = 0; I < Inline.size(); ++I)
+    EXPECT_EQ(Inline[I], 1) << I;
+}
+
+TEST(TaskPool, BusyPoolRunsAnotherCallersBatchInline) {
+  TaskPool Pool(3);
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Holding = false, OtherDone = false;
+  std::thread Holder([&] {
+    Pool.parallelFor(
+        2,
+        [&](unsigned, size_t Idx) {
+          if (Idx != 0)
+            return;
+          std::unique_lock<std::mutex> Lock(Mu);
+          Holding = true;
+          Cv.notify_all();
+          Cv.wait(Lock, [&] { return OtherDone; });
+        },
+        2);
+  });
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [&] { return Holding; });
+  }
+  // The pool is busy with the holder's batch, which cannot finish until
+  // this call returns: it must run inline rather than wait.
+  const std::thread::id Self = std::this_thread::get_id();
+  std::atomic<unsigned> OnCaller{0};
+  Pool.parallelFor(32, [&](unsigned, size_t) {
+    OnCaller += std::this_thread::get_id() == Self;
+  });
+  EXPECT_EQ(OnCaller.load(), 32u);
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    OtherDone = true;
+  }
+  Cv.notify_all();
+  Holder.join();
+}
+
+TEST(TaskPool, ProcessPoolIsOneSharedInstance) {
+  TaskPool &Pool = TaskPool::process();
+  EXPECT_EQ(&Pool, &TaskPool::process());
+  EXPECT_EQ(Pool.numThreads(), TaskPool::resolveThreads(0));
+  std::atomic<uint64_t> Sum{0};
+  Pool.parallelFor(100, [&](unsigned, size_t Idx) { Sum += Idx; }, 2);
+  EXPECT_EQ(Sum.load(), 99u * 100u / 2u);
+}
+
 TEST(TaskPool, ChunkedDispatchCoversEveryIndexOnce) {
   for (size_t Chunk : {size_t(1), size_t(7), size_t(64), size_t(1000)}) {
     TaskPool Pool(4);
@@ -550,6 +634,40 @@ TEST(TaskPoolSubmit, RunsSubmittedTasksOnWorkers) {
   Pool.drainSubmitted();
   EXPECT_EQ(Ran.load(), 32);
   EXPECT_EQ(Pool.submittedPending(), 0u);
+}
+
+TEST(TaskPoolSubmit, EveryWorkerStaysAvailableAcrossManyRounds) {
+  // A worker woken for a task that another worker took first must park as
+  // idle again, or trySubmit never wakes it for later tasks and the pool
+  // shrinks for good. Bursts of short tasks make such steals common; after
+  // each burst, three tasks that wait for each other need all three
+  // workers. A worker lost to a steal leaves them waiting out the timeout.
+  TaskPool Pool(4);
+  std::atomic<unsigned> Ran{0};
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Stuck = false;
+  unsigned Rounds = 0;
+  for (; Rounds < 50 && !Stuck; ++Rounds) {
+    for (int I = 0; I < 2000; ++I)
+      ASSERT_EQ(Pool.trySubmit([&Ran] { Ran.fetch_add(1); }),
+                TaskPool::Submit::Queued);
+    Pool.drainSubmitted();
+    unsigned Arrived = 0;
+    auto Meet = [&] {
+      std::unique_lock<std::mutex> Lock(Mu);
+      ++Arrived;
+      Cv.notify_all();
+      if (!Cv.wait_for(Lock, std::chrono::seconds(2),
+                       [&] { return Arrived >= 3; }))
+        Stuck = true;
+    };
+    for (int I = 0; I < 3; ++I)
+      ASSERT_EQ(Pool.trySubmit(Meet), TaskPool::Submit::Queued);
+    Pool.drainSubmitted();
+    EXPECT_FALSE(Stuck) << "round " << Rounds;
+  }
+  EXPECT_EQ(Ran.load(), Rounds * 2000u);
 }
 
 TEST(TaskPoolSubmit, BoundedModeRejectsWhenQueueIsFull) {

@@ -490,6 +490,28 @@ TEST(DcbTelemetry, TraceAndStatsFilesAreRenderable) {
   EXPECT_NE(runCmd(Dcb + " stats /nonexistent 2> /dev/null"), 0);
 }
 
+// A command builds only the ISA spec it decodes: disassembling an sm_35
+// cubin freezes one decode index, not one per supported arch.
+TEST(DcbTelemetry, DisasmFreezesOnlyTheCubinsArch) {
+  const std::string Dcb = toolPath();
+  const std::string Work = workDir();
+  ASSERT_EQ(runCmd("mkdir -p " + Work), 0);
+  ASSERT_EQ(runCmd(Dcb + " make-suite sm_35 -o " + Work +
+                   "/fz.cubin > /dev/null"),
+            0);
+  ASSERT_EQ(runCmd(Dcb + " disasm " + Work + "/fz.cubin --stats=" + Work +
+                   "/fz_stats.json > /dev/null"),
+            0);
+  const std::string Stats = slurp(Work + "/fz_stats.json");
+#if DCB_TELEMETRY
+  EXPECT_NE(Stats.find("\"isa.freeze_decode_ns\": {\"count\": 1,"),
+            std::string::npos)
+      << Stats;
+#else
+  EXPECT_FALSE(Stats.empty());
+#endif
+}
+
 // --- The grid VM surface (exec / diffexec) ----------------------------------
 
 TEST(DcbTool, ExecOutputIsEngineAndJobsInvariant) {

@@ -593,3 +593,70 @@ TEST(Vm, MultiBlockGridMergesByBlockIndex) {
       EXPECT_EQ(R->Threads[B * 4 + T].Regs[0], B) << B << "/" << T;
   }
 }
+
+TEST(Vm, MultiBlockConflictsGoToTheLastBlockByteByByte) {
+  // Every block stores CTAID.X + 1 to 0x80 (a conflict the last block
+  // wins) and the low byte of CTAID.X + 0x11 to 0x84 + CTAID.X (one byte
+  // per block). All of it lands in one 64-byte chunk, next to bytes no
+  // block writes, so the merge must work byte by byte inside the chunk
+  // and never revert an earlier block's byte to the launch image.
+  vendor::KernelBuilder K("conflict", Arch::SM35);
+  K.ins("S2R R0, SR_CTAID.X;");
+  K.ins("IADD R2, R0, 0x1;");
+  K.ins("MOV32I R6, 0x80;");
+  K.ins("STG.E [R6], R2;");
+  K.ins("IADD R3, R0, 0x11;");
+  K.ins("STG.E.U8 [R0+0x84], R3;");
+  K.exit();
+  ir::Kernel Kern = makeIr(Arch::SM35, K);
+  LaunchConfig Config;
+  Config.NumThreads = 2;
+  Config.NumBlocks = 4;
+  for (int UseGrid = 0; UseGrid < 2; ++UseGrid) {
+    Memory Mem;
+    Mem.Global[0x7f] = 0xaa; // Untouched neighbours keep their bytes.
+    Mem.Global[0x88] = 0xbb;
+    Expected<GridResult> R = UseGrid ? GridVm().run(Kern, Mem, Config)
+                                     : RefVm().run(Kern, Mem, Config);
+    ASSERT_TRUE(R.hasValue()) << R.message();
+    EXPECT_EQ(global32(Mem, 0x80), 4u);
+    EXPECT_EQ(global32(Mem, 0x84), 0x14131211u);
+    EXPECT_EQ(Mem.Global[0x7f], 0xaa);
+    EXPECT_EQ(Mem.Global[0x88], 0xbb);
+  }
+}
+
+TEST(Vm, LocalMemoryHasItsFullSizeWhenFirstTouched) {
+  // Local memory is allocated on a thread's first access, at the
+  // launch's full LocalSizePerThread: the last word is in bounds, the
+  // next one faults, and a thread that never touches it still runs.
+  for (uint32_t Addr : {0xffcu, 0x1000u}) {
+    vendor::KernelBuilder K("local", Arch::SM35);
+    K.ins("S2R R0, SR_TID.X;");
+    K.ins("ISETP.NE.AND P0, PT, R0, RZ, PT;");
+    K.ins("MOV32I R4, " + std::to_string(Addr) + ";");
+    K.ins("MOV32I R1, 0x1234;");
+    K.ins("@P0 STL [R4], R1;");
+    K.ins("@P0 LDL R5, [R4];");
+    K.ins("STG.E [RZ+0x20], R5;");
+    K.exit();
+    ir::Kernel Kern = makeIr(Arch::SM35, K);
+    LaunchConfig Config;
+    Config.NumThreads = 2;
+    Config.Oob = OobPolicy::Fault;
+    for (int UseGrid = 0; UseGrid < 2; ++UseGrid) {
+      Memory Mem;
+      Expected<GridResult> R = UseGrid ? GridVm().run(Kern, Mem, Config)
+                                       : RefVm().run(Kern, Mem, Config);
+      if (Addr == 0xffc) {
+        ASSERT_TRUE(R.hasValue()) << R.message();
+        EXPECT_EQ(R->Threads[1].Regs[5], 0x1234u);
+        EXPECT_EQ(R->Threads[0].Regs[5], 0u);
+      } else {
+        ASSERT_FALSE(R.hasValue());
+        EXPECT_NE(R.message().find("(region size 4096)"), std::string::npos)
+            << R.message();
+      }
+    }
+  }
+}
